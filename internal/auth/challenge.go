@@ -134,10 +134,6 @@ func (s *Server) issueWithVddsLocked(id ClientID, rec *clientRecord, vdds []int)
 
 	ch := &crp.Challenge{ID: rec.nextID, Bits: make([]crp.PairBit, len(vdds))}
 	physBits := make([]crp.PairBit, len(vdds))
-	// physKeys mirrors physBits as canonical fingerprints so the
-	// within-challenge duplicate scan is a word compare, not a struct
-	// compare — this loop is on the wire protocol's hot path.
-	physKeys := make([]uint64, len(vdds))
 	const maxRetries = 64
 	for i := range ch.Bits {
 		vdd := vdds[i]
@@ -149,35 +145,24 @@ func (s *Server) issueWithVddsLocked(id ClientID, rec *clientRecord, vdds []int)
 				continue
 			}
 			// The registry is canonical over *physical* pairs so that
-			// key rotation cannot resurrect consumed challenges.
+			// key rotation cannot resurrect consumed challenges. Each
+			// pair burns as it is drawn: a pair consumed earlier, or
+			// drawn twice in this challenge, is a refused burn.
 			pa, pb := perm.Unmap(a), perm.Unmap(b)
 			phys := crp.PairBit{A: pa, B: pb, VddMV: vdd}
-			if rec.registry.IsUsed(phys) {
-				continue
-			}
-			key := pairFingerprint(phys)
-			dup := false
-			for j := 0; j < i; j++ {
-				if physKeys[j] == key {
-					dup = true
-					break
-				}
-			}
-			if dup {
+			if !rec.registry.Burn(phys) {
 				continue
 			}
 			ch.Bits[i] = crp.PairBit{A: a, B: b, VddMV: vdd}
 			physBits[i] = phys
-			physKeys[i] = key
 			ok = true
 			break
 		}
 		if !ok {
+			// A failed issue leaves the registry as it found it.
+			rec.registry.Unburn(physBits[:i])
 			return nil, authErr(CodeExhausted, id, ErrExhausted)
 		}
-	}
-	if !rec.registry.Consume(&crp.Challenge{Bits: physBits}) {
-		return nil, authErr(CodeExhausted, id, ErrExhausted)
 	}
 	if s.journal != nil {
 		// Journal before the challenge can leave the server; the

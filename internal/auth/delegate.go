@@ -3,6 +3,7 @@ package auth
 import (
 	"context"
 	"hash/fnv"
+	"slices"
 
 	"repro/internal/crp"
 	"repro/internal/errormap"
@@ -73,7 +74,7 @@ func (s *Server) SampleChallenge(ctx context.Context, id ClientID) (*DelegatedPr
 		Phys:    make([]crp.PairBit, n),
 		KeySum:  keySumLocked(rec),
 	}
-	physKeys := make([]uint64, n)
+	keys := make([]uint64, n)
 	const maxRetries = 64
 	for i := 0; i < n; i++ {
 		ok := false
@@ -84,23 +85,14 @@ func (s *Server) SampleChallenge(ctx context.Context, id ClientID) (*DelegatedPr
 			}
 			pa, pb := perm.Unmap(a), perm.Unmap(b)
 			phys := crp.PairBit{A: pa, B: pb, VddMV: vdd}
-			if rec.registry.IsUsed(phys) {
-				continue
-			}
-			key := pairFingerprint(phys)
-			dup := false
-			for j := 0; j < i; j++ {
-				if physKeys[j] == key {
-					dup = true
-					break
-				}
-			}
-			if dup {
+			// Probe only: the replica changes through replication alone.
+			key, free := rec.registry.Probe(phys)
+			if !free || slices.Contains(keys[:i], key) {
 				continue
 			}
 			prop.Logical[i] = crp.PairBit{A: a, B: b, VddMV: vdd}
 			prop.Phys[i] = phys
-			physKeys[i] = key
+			keys[i] = key
 			ok = true
 			break
 		}
@@ -129,21 +121,11 @@ func (s *Server) ApproveBurn(ctx context.Context, id ClientID, phys []crp.PairBi
 	if keySumLocked(rec) != keySum {
 		return 0, authErrf(CodeInvalidRequest, id, "auth: proposal sampled under a rotated key")
 	}
-	// Pairwise-distinct and unused, or the whole proposal is refused —
-	// the follower resamples against its (by then fresher) replica.
-	seen := make(map[uint64]struct{}, len(phys))
-	for _, p := range phys {
-		if rec.registry.IsUsed(p) {
-			return 0, authErrf(CodeInvalidRequest, id, "auth: proposal pair already consumed")
-		}
-		fp := pairFingerprint(p)
-		if _, dup := seen[fp]; dup {
-			return 0, authErrf(CodeInvalidRequest, id, "auth: proposal repeats a pair")
-		}
-		seen[fp] = struct{}{}
-	}
+	// Pairwise-distinct, unused and in range, or the whole proposal is
+	// refused — the follower resamples against its (by then fresher)
+	// replica.
 	if !rec.registry.Consume(&crp.Challenge{Bits: phys}) {
-		return 0, authErr(CodeExhausted, id, ErrExhausted)
+		return 0, authErrf(CodeInvalidRequest, id, "auth: proposal pair already consumed, repeated or out of range")
 	}
 	if s.journal != nil {
 		// Same discipline as issueWithVddsLocked: journal before the

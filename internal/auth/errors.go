@@ -162,8 +162,13 @@ func (r *remoteCause) Unwrap() error { return r.sentinel }
 // unavailableErr wraps a transient server-side failure (journal
 // append failure, load shed) so that errors.Is(err, ErrUnavailable)
 // holds locally exactly as it does after a wire round-trip, and
-// Retryable classifies the error as worth retrying.
+// Retryable classifies the error as worth retrying. A cause that is
+// already an unavailable AuthError (the cluster journal's quorum
+// timeout) comes back unchanged, so the code is stated once.
 func unavailableErr(id ClientID, cause error) *AuthError {
+	if ae, ok := cause.(*AuthError); ok && ae.Code == CodeUnavailable && errors.Is(ae, ErrUnavailable) {
+		return ae
+	}
 	return &AuthError{Code: CodeUnavailable, ClientID: id, Err: fmt.Errorf("%w: %w", ErrUnavailable, cause)}
 }
 

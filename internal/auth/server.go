@@ -194,19 +194,6 @@ func LogicalPlane(phys *errormap.Plane, key mapkey.Key, vddMV int) *errormap.Pla
 	return logical
 }
 
-// pairFingerprint packs a pair bit into one comparable word with the
-// line pair canonicalised (unordered), so two bits hitting the same
-// physical pair at the same voltage collide regardless of A/B order.
-// Line indexes fit in 24 bits (geometries are ≤2^24 lines) and rail
-// voltages in 16, so the packing is collision-free in practice.
-func pairFingerprint(p crp.PairBit) uint64 {
-	lo, hi := p.A, p.B
-	if lo > hi {
-		lo, hi = hi, lo
-	}
-	return uint64(lo)<<40 | uint64(hi)<<16 | uint64(uint16(p.VddMV))
-}
-
 func cloneChallenge(c *crp.Challenge) *crp.Challenge {
 	out := &crp.Challenge{ID: c.ID, Bits: make([]crp.PairBit, len(c.Bits))}
 	copy(out.Bits, c.Bits)

@@ -258,6 +258,16 @@ func canonical(b PairBit) pairKey {
 	return pairKey{b.B, b.A, b.VddMV}
 }
 
+// A registry key packs a canonical pair into one word:
+// vdd<<48 | lo<<24 | hi. Coordinates take 24-bit lanes (2^24 lines is
+// a 1 GiB cache of 64-byte lines) and the rail voltage the top 16
+// (millivolts below 65.536 V).
+const (
+	coordBits = 24
+	maxLines  = 1 << coordBits
+	maxVddMV  = 1 << (64 - 2*coordBits)
+)
+
 // maxDensePairs bounds the dense representation: a voltage plane
 // whose full pair space fits in this many bits (8 MiB of bitset) is
 // tracked densely; anything larger falls back to the hash map so a
@@ -267,45 +277,61 @@ const maxDensePairs = 1 << 26
 // Registry tracks consumed pairs so no pair is ever reused in either
 // orientation. It is safe for concurrent use.
 //
-// Two representations share the one API. The sparse form hashes each
-// canonical pair into a map — memory proportional to consumption,
-// cost proportional to hashing. The dense form (NewRegistryLines,
-// when the geometry's n(n-1)/2 pair space is small enough) keeps one
-// lazily-allocated bitset per voltage plane and indexes pairs by
-// their triangular number: probes and burns are single bit
-// operations, which is what keeps the registry off the wire
-// protocol's hot-path profile.
+// Two representations share the one API. The sparse form keeps each
+// burned pair's one-word key in a map — memory proportional to
+// consumption, one 8-byte hash per probe. The dense form
+// (NewRegistryLines, when the geometry's n(n-1)/2 pair space is small
+// enough) keeps one lazily-allocated bitset per voltage plane and
+// indexes pairs by their triangular number: probes and burns are
+// single bit operations. Both refuse a pair outside the registry's
+// range — a coordinate outside [0, span), lo == hi, or a voltage
+// outside [0, maxVddMV) — because the sparse key of such a pair could
+// alias an in-range one and the dense bitset cannot address it.
 type Registry struct {
+	span int // coordinates lie in [0, span); fixed at construction
+
 	mu   sync.Mutex
-	used map[pairKey]struct{} // sparse mode; nil in dense mode
+	used map[uint64]struct{} // sparse mode; nil in dense mode
 
 	// Dense mode.
 	lines  int              // 0 in sparse mode
 	npairs uint64           // lines*(lines-1)/2
 	planes map[int][]uint64 // vdd -> triangular bitset
 	count  int              // set bits across planes
-	undo   []densePair      // scratch for Consume rollback, reused under mu
 }
 
-// densePair names one tentatively-consumed bit for rollback.
-type densePair struct {
-	vdd int
-	idx uint64
-}
-
-// NewRegistry creates an empty sparse registry (unknown geometry).
+// NewRegistry creates an empty sparse registry for an unknown
+// geometry: any coordinate below 2^24 is in range.
 func NewRegistry() *Registry {
-	return &Registry{used: make(map[pairKey]struct{})}
+	return &Registry{span: maxLines, used: make(map[uint64]struct{})}
 }
 
 // NewRegistryLines creates an empty registry for a known cache
 // geometry, choosing the dense bitset representation when the pair
-// space is small enough and the sparse map otherwise.
+// space is small enough and the sparse map otherwise. Past 2^24 lines
+// the key has no room: coordinates from 2^24 up are refused, never
+// aliased.
 func NewRegistryLines(lines int) *Registry {
-	if lines > 1 && PossibleCRPs(lines) <= maxDensePairs {
-		return &Registry{lines: lines, npairs: PossibleCRPs(lines), planes: make(map[int][]uint64)}
+	switch {
+	case lines <= 0:
+		return NewRegistry()
+	case lines > 1 && PossibleCRPs(lines) <= maxDensePairs:
+		return &Registry{span: lines, lines: lines, npairs: PossibleCRPs(lines), planes: make(map[int][]uint64)}
 	}
-	return NewRegistry()
+	return &Registry{span: min(lines, maxLines), used: make(map[uint64]struct{})}
+}
+
+// addr canonicalises b and reports whether the registry can
+// address it.
+func (reg *Registry) addr(b PairBit) (pairKey, bool) {
+	k := canonical(b)
+	return k, k.lo >= 0 && k.lo < k.hi && k.hi < reg.span && k.vdd >= 0 && k.vdd < maxVddMV
+}
+
+// word packs an addressable canonical pair into its sparse key. Each
+// field fits its lane, so distinct pairs get distinct words.
+func word(k pairKey) uint64 {
+	return uint64(k.vdd)<<(2*coordBits) | uint64(k.lo)<<coordBits | uint64(k.hi)
 }
 
 // pairIndexLocked maps the canonical pair lo < hi onto its triangular-number
@@ -326,111 +352,118 @@ func (reg *Registry) planeLocked(vdd int) []uint64 {
 	return p
 }
 
-// inRangeLocked reports whether the canonical pair is addressable by the
-// dense bitset; out-of-geometry coordinates (possible on hostile or
-// restored input) take the panic-free path.
-func (reg *Registry) inRangeLocked(k pairKey) bool {
-	return k.lo >= 0 && k.hi < reg.lines && k.lo < k.hi
+// burnLocked probes and marks one addressable pair in a single step,
+// reporting whether it was free. The sparse form detects a burned pair
+// by the map not growing, so the probe is the assignment itself.
+// Callers hold reg.mu.
+func (reg *Registry) burnLocked(k pairKey) bool {
+	if reg.used != nil {
+		n := len(reg.used)
+		reg.used[word(k)] = struct{}{}
+		return len(reg.used) > n
+	}
+	idx := reg.pairIndexLocked(k.lo, k.hi)
+	p := reg.planeLocked(k.vdd)
+	w, mask := idx/64, uint64(1)<<(idx%64)
+	if p[w]&mask != 0 {
+		return false
+	}
+	p[w] |= mask
+	reg.count++
+	return true
+}
+
+// unburnLocked releases pairs that burnLocked consumed. Callers hold
+// reg.mu.
+func (reg *Registry) unburnLocked(pairs []PairBit) {
+	for _, b := range pairs {
+		k, ok := reg.addr(b)
+		if !ok {
+			continue
+		}
+		if reg.used != nil {
+			delete(reg.used, word(k))
+			continue
+		}
+		idx := reg.pairIndexLocked(k.lo, k.hi)
+		reg.planes[k.vdd][idx/64] &^= uint64(1) << (idx % 64)
+		reg.count--
+	}
+}
+
+// usedLocked reports whether an addressable pair is burned. Callers
+// hold reg.mu.
+func (reg *Registry) usedLocked(k pairKey) bool {
+	if reg.used != nil {
+		_, ok := reg.used[word(k)]
+		return ok
+	}
+	idx := reg.pairIndexLocked(k.lo, k.hi)
+	p, ok := reg.planes[k.vdd]
+	return ok && p[idx/64]&(1<<(idx%64)) != 0
 }
 
 // Used reports the number of consumed pairs.
 func (reg *Registry) Used() int {
 	reg.mu.Lock()
 	defer reg.mu.Unlock()
-	if reg.lines > 0 {
-		return reg.count
+	if reg.used != nil {
+		return len(reg.used)
 	}
-	return len(reg.used)
+	return reg.count
+}
+
+// Burn atomically checks that one pair (in either orientation) is free
+// and marks it consumed. It returns false, changing nothing, if the
+// pair was consumed before or is out of range. An issuer burns each
+// pair as it draws it, so a pair repeated within one challenge is just
+// a failed burn.
+func (reg *Registry) Burn(b PairBit) bool {
+	reg.mu.Lock()
+	defer reg.mu.Unlock()
+	k, ok := reg.addr(b)
+	return ok && reg.burnLocked(k)
+}
+
+// Unburn releases pairs that Burn accepted, for an issuer abandoning a
+// half-drawn challenge. Releasing a pair Burn refused would free an
+// earlier burn; callers pass only their own.
+func (reg *Registry) Unburn(pairs []PairBit) {
+	reg.mu.Lock()
+	defer reg.mu.Unlock()
+	reg.unburnLocked(pairs)
 }
 
 // Consume atomically checks that none of the challenge's pairs have
 // been used and marks them all used. If any pair (in either
 // orientation) was already consumed — including a challenge reusing
 // its own pair internally, which is as replayable as reusing a past
-// one — nothing is marked and the method returns false.
+// one — or is out of range, nothing is marked and the method returns
+// false.
 func (reg *Registry) Consume(c *Challenge) bool {
 	reg.mu.Lock()
 	defer reg.mu.Unlock()
-	if reg.lines > 0 {
-		return reg.consumeDenseLocked(c)
-	}
-	// Sparse: insert tentatively — the second occurrence of an
-	// in-challenge duplicate finds the first insert — and roll back
-	// on any collision.
-	inserted := 0
-	for _, b := range c.Bits {
-		k := canonical(b)
-		if _, dup := reg.used[k]; dup {
-			for _, rb := range c.Bits[:inserted] {
-				delete(reg.used, canonical(rb))
-			}
+	for i, b := range c.Bits {
+		if k, ok := reg.addr(b); !ok || !reg.burnLocked(k) {
+			reg.unburnLocked(c.Bits[:i])
 			return false
 		}
-		reg.used[k] = struct{}{}
-		inserted++
 	}
 	return true
-}
-
-// consumeDenseLocked is Consume for the bitset representation:
-// tentatively set each pair's bit, rolling back every set bit if one
-// is already burned. Callers hold reg.mu.
-func (reg *Registry) consumeDenseLocked(c *Challenge) bool {
-	reg.undo = reg.undo[:0]
-	for _, b := range c.Bits {
-		k := canonical(b)
-		if !reg.inRangeLocked(k) {
-			reg.rollbackLocked()
-			return false
-		}
-		idx := reg.pairIndexLocked(k.lo, k.hi)
-		p := reg.planeLocked(k.vdd)
-		w, mask := idx/64, uint64(1)<<(idx%64)
-		if p[w]&mask != 0 {
-			reg.rollbackLocked()
-			return false
-		}
-		p[w] |= mask
-		reg.undo = append(reg.undo, densePair{vdd: k.vdd, idx: idx})
-	}
-	reg.count += len(reg.undo)
-	reg.undo = reg.undo[:0]
-	return true
-}
-
-// rollbackLocked clears the tentatively-set bits of a failed Consume.
-// Callers hold reg.mu.
-func (reg *Registry) rollbackLocked() {
-	for _, d := range reg.undo {
-		p := reg.planes[d.vdd]
-		p[d.idx/64] &^= uint64(1) << (d.idx % 64)
-	}
-	reg.undo = reg.undo[:0]
 }
 
 // Mark force-records pairs as consumed without the no-reuse check.
 // Journal replay uses it: a replayed burn may overlap pairs the
 // snapshot already holds, and re-marking a consumed pair is the
 // idempotent direction (a pair can only ever become *more* dead).
+// Out-of-range pairs are skipped.
 func (reg *Registry) Mark(pairs []PairBit) {
 	reg.mu.Lock()
 	defer reg.mu.Unlock()
-	for _, p := range pairs {
-		k := canonical(p)
-		if reg.lines > 0 {
-			if !reg.inRangeLocked(k) {
-				continue
-			}
-			idx := reg.pairIndexLocked(k.lo, k.hi)
-			pl := reg.planeLocked(k.vdd)
-			w, mask := idx/64, uint64(1)<<(idx%64)
-			if pl[w]&mask == 0 {
-				pl[w] |= mask
-				reg.count++
-			}
-			continue
+	for _, b := range pairs {
+		if k, ok := reg.addr(b); ok {
+			reg.burnLocked(k)
 		}
-		reg.used[k] = struct{}{}
 	}
 }
 
@@ -438,17 +471,19 @@ func (reg *Registry) Mark(pairs []PairBit) {
 func (reg *Registry) IsUsed(b PairBit) bool {
 	reg.mu.Lock()
 	defer reg.mu.Unlock()
-	k := canonical(b)
-	if reg.lines > 0 {
-		if !reg.inRangeLocked(k) {
-			return false
-		}
-		idx := reg.pairIndexLocked(k.lo, k.hi)
-		p, ok := reg.planes[k.vdd]
-		return ok && p[idx/64]&(1<<(idx%64)) != 0
-	}
-	_, ok := reg.used[k]
-	return ok
+	k, ok := reg.addr(b)
+	return ok && reg.usedLocked(k)
+}
+
+// Probe reports whether a pair could be burned now — in range and not
+// consumed — without marking it, together with its key: two bits name
+// the same pair exactly when their keys are equal. A follower samples
+// against its read-only replica with it.
+func (reg *Registry) Probe(b PairBit) (key uint64, free bool) {
+	reg.mu.Lock()
+	defer reg.mu.Unlock()
+	k, ok := reg.addr(b)
+	return word(k), ok && !reg.usedLocked(k)
 }
 
 // Export returns the consumed pairs in canonical orientation, for
@@ -456,33 +491,34 @@ func (reg *Registry) IsUsed(b PairBit) bool {
 func (reg *Registry) Export() []PairBit {
 	reg.mu.Lock()
 	defer reg.mu.Unlock()
-	if reg.lines > 0 {
-		// Walk rows in triangular order: consecutive idx values are
-		// (lo,lo+1), (lo,lo+2), ..., then the next lo. Whole zero
-		// words are skipped in one hop.
-		out := make([]PairBit, 0, reg.count)
-		for vdd, p := range reg.planes {
-			idx := uint64(0)
-			for lo := 0; lo < reg.lines-1; lo++ {
-				for hi := lo + 1; hi < reg.lines; {
-					if idx%64 == 0 && hi+64 <= reg.lines && p[idx/64] == 0 {
-						idx += 64
-						hi += 64
-						continue
-					}
-					if p[idx/64]&(1<<(idx%64)) != 0 {
-						out = append(out, PairBit{A: lo, B: hi, VddMV: vdd})
-					}
-					idx++
-					hi++
-				}
-			}
+	if reg.used != nil {
+		const lane = maxLines - 1
+		out := make([]PairBit, 0, len(reg.used))
+		for w := range reg.used {
+			out = append(out, PairBit{A: int(w >> coordBits & lane), B: int(w & lane), VddMV: int(w >> (2 * coordBits))})
 		}
 		return out
 	}
-	out := make([]PairBit, 0, len(reg.used))
-	for k := range reg.used {
-		out = append(out, PairBit{A: k.lo, B: k.hi, VddMV: k.vdd})
+	// Walk rows in triangular order: consecutive idx values are
+	// (lo,lo+1), (lo,lo+2), ..., then the next lo. Whole zero words
+	// are skipped in one hop.
+	out := make([]PairBit, 0, reg.count)
+	for vdd, p := range reg.planes {
+		idx := uint64(0)
+		for lo := 0; lo < reg.lines-1; lo++ {
+			for hi := lo + 1; hi < reg.lines; {
+				if idx%64 == 0 && hi+64 <= reg.lines && p[idx/64] == 0 {
+					idx += 64
+					hi += 64
+					continue
+				}
+				if p[idx/64]&(1<<(idx%64)) != 0 {
+					out = append(out, PairBit{A: lo, B: hi, VddMV: vdd})
+				}
+				idx++
+				hi++
+			}
+		}
 	}
 	return out
 }

@@ -23,6 +23,7 @@ import (
 	"crypto/sha256"
 	"encoding/binary"
 	"fmt"
+	"hash"
 )
 
 // Key is a 256-bit remapping key.
@@ -115,24 +116,27 @@ func (p *Permutation) roundF(round int, half uint64) uint64 {
 	if t := p.memo[round]; t != nil {
 		return t[half]
 	}
+	mac := hmac.New(sha256.New, p.roundKeys[round][:])
+	buf := make([]byte, sha256.Size)
 	if p.halfBits > maxMemoHalfBits {
-		return p.roundFSlow(round, half)
+		return roundMAC(mac, buf, half) & p.halfMask
 	}
+	// One HMAC instance and buffer, reset per entry, build the table.
 	t := make([]uint64, p.halfMask+1)
 	for h := range t {
-		t[h] = p.roundFSlow(round, uint64(h))
+		t[h] = roundMAC(mac, buf, uint64(h)) & p.halfMask
 	}
 	p.memo[round] = t
 	return t[half]
 }
 
-func (p *Permutation) roundFSlow(round int, half uint64) uint64 {
-	mac := hmac.New(sha256.New, p.roundKeys[round][:])
-	var b [8]byte
-	binary.LittleEndian.PutUint64(b[:], half)
-	mac.Write(b[:])
-	sum := mac.Sum(nil)
-	return binary.LittleEndian.Uint64(sum[:8]) & p.halfMask
+// roundMAC resets mac and returns the first 8 bytes of its MAC over
+// half as a little-endian word. buf (sha256.Size bytes) is scratch.
+func roundMAC(mac hash.Hash, buf []byte, half uint64) uint64 {
+	mac.Reset()
+	binary.LittleEndian.PutUint64(buf, half)
+	mac.Write(buf[:8])
+	return binary.LittleEndian.Uint64(mac.Sum(buf[:0]))
 }
 
 // encryptOnce runs one pass of the Feistel network over the padded

@@ -12,14 +12,19 @@
 # time-based count on a fast machine could exhaust the hot client's
 # pair space mid-run.
 #
-#   scripts/bench_cluster.sh         # full run, 1000 iterations
-#   scripts/bench_cluster.sh 100     # smoke run (CI uses this)
+#   scripts/bench_cluster.sh                   # full run, 1000 iterations
+#   scripts/bench_cluster.sh 100 /tmp/out.json # smoke run to a scratch file
+#
+# The optional second argument is the output path (default
+# BENCH_cluster.json); scripts/check.sh points its smoke run at a temp
+# file so only a full run rewrites the committed results. The JSON
+# records the host: goos, goarch, gomaxprocs, cpu and go_version.
 #
 # Run from the repo root (make bench-cluster and scripts/check.sh do).
 set -eu
 
 iters="${1:-1000}"
-out="BENCH_cluster.json"
+out="${2:-BENCH_cluster.json}"
 
 raw="$(go test -run '^$' -bench 'BenchmarkClusterAuth|BenchmarkClusterPrimaryCost|BenchmarkClusterFailover' \
 	-benchtime "${iters}x" -count=1 ./)"
@@ -29,7 +34,10 @@ printf '%s\n' "$raw"
 #   BenchmarkClusterAuth/replicated-3/primary  1000  785676 ns/op  1273 tx/s
 # and the failover bench adds latency-quantile columns:
 #   BenchmarkClusterFailover/owner-stalled  1000  ...  1.2 p50_ms  12.6 p99_ms  536 tx/s
-printf '%s\n' "$raw" | awk -v iters="$iters" '
+printf '%s\n' "$raw" | awk -v iters="$iters" \
+	-v goos="$(go env GOOS)" -v goarch="$(go env GOARCH)" \
+	-v gomaxprocs="${GOMAXPROCS:-$(nproc)}" -v gover="$(go env GOVERSION)" '
+/^cpu: / { cpu = substr($0, 6) }
 /^BenchmarkCluster(Auth|PrimaryCost|Failover)\// {
 	p50 = ""; p99 = ""
 	for (i = 2; i <= NF; i++) {
@@ -48,6 +56,9 @@ END {
 	if (n == 0) { print "bench_cluster: no benchmark lines parsed" > "/dev/stderr"; exit 1 }
 	print "{"
 	printf "  \"iterations\": %d,\n", iters
+	printf "  \"goos\": \"%s\",\n  \"goarch\": \"%s\",\n", goos, goarch
+	printf "  \"gomaxprocs\": %d,\n  \"cpu\": \"%s\",\n", gomaxprocs, cpu
+	printf "  \"go_version\": \"%s\",\n", gover
 	print "  \"results\": ["
 	for (i = 0; i < n; i++) printf "%s%s\n", lines[i], (i < n-1 ? "," : "")
 	print "  ]"

@@ -7,14 +7,19 @@
 # mid-run. 1000 iterations keeps every variant under ~15% of one
 # plane's pair budget.
 #
-#   scripts/bench_wire.sh            # full run, 1000 iterations
-#   scripts/bench_wire.sh 50         # smoke run (CI uses this)
+#   scripts/bench_wire.sh                  # full run, 1000 iterations
+#   scripts/bench_wire.sh 50 /tmp/out.json # smoke run to a scratch file
+#
+# The optional second argument is the output path (default
+# BENCH_wire.json); scripts/check.sh points its smoke run at a temp
+# file so only a full run rewrites the committed results. The JSON
+# records the host: goos, goarch, gomaxprocs, cpu and go_version.
 #
 # Run from the repo root (make bench-wire and scripts/check.sh do).
 set -eu
 
 iters="${1:-1000}"
-out="BENCH_wire.json"
+out="${2:-BENCH_wire.json}"
 
 raw="$(go test -run '^$' -bench BenchmarkWireTxPerConn \
 	-benchtime "${iters}x" -count=1 ./internal/auth/)"
@@ -22,7 +27,10 @@ printf '%s\n' "$raw"
 
 # Each bench line looks like:
 #   BenchmarkWireTxPerConn/local/v1/depth=1  1000  178467 ns/op  5603 tx/s
-printf '%s\n' "$raw" | awk -v iters="$iters" '
+printf '%s\n' "$raw" | awk -v iters="$iters" \
+	-v goos="$(go env GOOS)" -v goarch="$(go env GOARCH)" \
+	-v gomaxprocs="${GOMAXPROCS:-$(nproc)}" -v gover="$(go env GOVERSION)" '
+/^cpu: / { cpu = substr($0, 6) }
 /^BenchmarkWireTxPerConn\// {
 	sub(/^BenchmarkWireTxPerConn\//, "", $1)
 	# Strip the trailing -N GOMAXPROCS suffix if present.
@@ -38,6 +46,9 @@ END {
 	print "{"
 	printf "  \"benchmark\": \"BenchmarkWireTxPerConn\",\n"
 	printf "  \"iterations\": %d,\n", iters
+	printf "  \"goos\": \"%s\",\n  \"goarch\": \"%s\",\n", goos, goarch
+	printf "  \"gomaxprocs\": %d,\n  \"cpu\": \"%s\",\n", gomaxprocs, cpu
+	printf "  \"go_version\": \"%s\",\n", gover
 	print "  \"results\": ["
 	for (i = 0; i < n; i++) printf "%s%s\n", lines[i], (i < n-1 ? "," : "")
 	print "  ]"

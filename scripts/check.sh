@@ -52,13 +52,21 @@ go test -run '^$' -fuzz '^FuzzWireServerV2$' -fuzztime 5s ./internal/auth/
 echo "== wire v2 zero-alloc gate =="
 go test -count=1 -run 'TestVerifyPathZeroAlloc' ./internal/wire/
 
+# Smoke benches write to a temp file: only a full run (make bench-*)
+# rewrites the committed BENCH_*.json.
+smoke_json="$(mktemp)"
+trap 'rm -f "$smoke_json"' EXIT
+
 echo "== wire bench smoke (fixed 50 iterations) =="
-sh scripts/bench_wire.sh 50
+sh scripts/bench_wire.sh 50 "$smoke_json"
 
 echo "== cluster replication and failover (race) =="
 go test -race -count=1 -run 'TestReplicationAndFollowerReads|TestPrimaryWithoutQuorumCannotAck|TestFailoverPromotesSuccessor|TestFollowerResyncAfterPartition|TestDeposedPrimaryStepsDownOnHigherTerm' ./internal/cluster/
 
 echo "== cluster bench smoke (fixed 100 iterations) =="
-sh scripts/bench_cluster.sh 100
+sh scripts/bench_cluster.sh 100 "$smoke_json"
+
+echo "== end-to-end benchmark tests (perfbench module: workload gates, smoke runs) =="
+(cd perfbench && go test ./...)
 
 echo "check: all green"
